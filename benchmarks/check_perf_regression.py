@@ -3,11 +3,9 @@
 
 Compares a freshly measured benchmark report against the committed
 baseline (same JSON shape: ``{"scenarios": {name: {metric: value}}}``,
-as written by ``microbench_kernel.py``, ``bench_hotpath.py``, and
-``bench_scaling.py``) and exits nonzero when any scenario's gated metric
-— ``events_per_sec`` throughput or the shard driver's deterministic
-``cycles_per_window`` — falls more than ``--tolerance`` below the
-baseline.  CI runs this after each microbench so a hot-path regression
+as written by ``microbench_kernel.py`` and ``bench_hotpath.py``) and
+exits nonzero when any scenario's ``events_per_sec`` throughput falls
+more than ``--tolerance`` below the baseline.  CI runs this after each microbench so a hot-path regression
 fails the perf-smoke job instead of merely shipping a slower artifact.
 
 The tolerance band absorbs runner-to-runner jitter; it can be widened for
@@ -84,11 +82,8 @@ def check_mirror(baseline: str) -> str | None:
     )
 
 
-#: gated higher-is-better metrics and their display units.  events/s is
-#: wall-clock throughput; cycles/window is the (deterministic) width of
-#: the shard driver's synchronization windows — a lookahead regression
-#: shrinks it long before it shows up in noisy wall-clock numbers.
-_METRICS = (("events_per_sec", "ev/s"), ("cycles_per_window", "cyc/win"))
+#: the gated higher-is-better metric: wall-clock event throughput
+_METRIC = "events_per_sec"
 
 
 def check(
@@ -100,8 +95,8 @@ def check(
     """Regression messages (empty when the fresh run passes the gate)."""
     problems = []
     for name, base in sorted(baseline.items()):
-        gated = [(m, u) for m, u in _METRICS if base.get(m)]
-        if not gated:
+        base_rate = base.get(_METRIC)
+        if not base_rate:
             continue
         if name not in fresh:
             if allow_missing:
@@ -109,31 +104,27 @@ def check(
             else:
                 problems.append(f"{name}: scenario missing from fresh run")
             continue
-        for metric, unit in gated:
-            base_rate = base[metric]
-            rate = fresh[name].get(metric) or 0
-            floor = base_rate * (1.0 - tolerance)
-            verdict = "ok" if rate >= floor else "REGRESSION"
-            # cycles/window sits near 1.0; keep decimals for small values.
-            fmt = ",.0f" if base_rate >= 100 else ",.3f"
-            print(
-                f"{name:18s} fresh {rate:>12{fmt}} {unit:7s} "
-                f"baseline {base_rate:>12{fmt}}   floor {floor:>12{fmt}}   "
-                f"{verdict}"
+        rate = fresh[name].get(_METRIC) or 0
+        floor = base_rate * (1.0 - tolerance)
+        verdict = "ok" if rate >= floor else "REGRESSION"
+        print(
+            f"{name:18s} fresh {rate:>12,.0f} ev/s    "
+            f"baseline {base_rate:>12,.0f}   floor {floor:>12,.0f}   "
+            f"{verdict}"
+        )
+        if rate < floor:
+            problems.append(
+                f"{name}: {rate:,.0f} ev/s is "
+                f"{1 - rate / base_rate:.1%} below the committed baseline "
+                f"{base_rate:,.0f} (tolerance {tolerance:.0%})"
             )
-            if rate < floor:
-                problems.append(
-                    f"{name}: {rate:{fmt}} {unit} is "
-                    f"{1 - rate / base_rate:.1%} below the committed baseline "
-                    f"{base_rate:{fmt}} (tolerance {tolerance:.0%})"
-                )
     return problems
 
 
 def ratchet(
     fresh: dict[str, dict], baseline: dict[str, dict]
 ) -> tuple[dict[str, dict], list[str]]:
-    """Raise baseline gated metrics to any better fresh value.
+    """Raise baseline throughputs to any better fresh value.
 
     Returns the updated scenario mapping and a list of human-readable
     change descriptions (empty when nothing improved).  Non-gated keys in
@@ -148,19 +139,11 @@ def ratchet(
             updated[name] = dict(values)
             changes.append(f"{name}: adopted new scenario")
             continue
-        improved = [
-            (metric, unit)
-            for metric, unit in _METRICS
-            if values.get(metric) and values[metric] > (base.get(metric) or 0)
-        ]
-        if not improved:
+        new, old = values.get(_METRIC), base.get(_METRIC) or 0
+        if not new or new <= old:
             continue
-        gain = ", ".join(
-            f"{metric} {base.get(metric) or 0:,.0f} -> {values[metric]:,.0f} {unit}"
-            for metric, unit in improved
-        )
         updated[name] = dict(values)
-        changes.append(f"{name}: {gain}")
+        changes.append(f"{name}: {_METRIC} {old:,.0f} -> {new:,.0f} ev/s")
     return updated, changes
 
 

@@ -18,17 +18,15 @@ Exactness argument (the goldens pin it, this explains why it holds):
   every ring entry at ``t``: a ring entry exists only if it was appended
   while running with ``t < now + 64``; any later schedule targeting ``t``
   also satisfies that bound (``now`` is monotone), hence also lands in
-  the ring, behind it.  Front events have negative seqs and stay in the
-  heap.  So merging "heap first iff its head is at ``now`` with a
-  smaller seq" — the lane's own rule — preserves exact order.
+  the ring, behind it.  So merging "heap first iff its head is at
+  ``now`` with a smaller seq" — the lane's own rule — preserves exact
+  order.
 * While a slot drains, the heap cannot gain events at ``now``
-  (same-cycle schedules land in the ring; ``post_front`` at ``now``
-  raises while running), so the batch loop needs no per-event heap
-  check.
+  (same-cycle schedules land in the ring), so the batch loop needs no
+  per-event heap check.
 * The ring is spilled back into the heap (original seqs) whenever a run
-  returns, so between runs — where checkpoints digest kernel state and
-  the shard driver inspects ``next_event_time`` — the simulator is
-  indistinguishable from the reference kernel.
+  returns, so between runs — where checkpoints digest kernel state —
+  the simulator is indistinguishable from the reference kernel.
 """
 
 from __future__ import annotations
@@ -97,9 +95,7 @@ class BatchSimulator(Simulator):
             _heappush(self._queue, (time, seq, callback, arg, None))
         self._live += 1
 
-    # post_front stays heap-resident (negative seqs order ahead of any
-    # ring entry at the same time through the merge rule) and call_after/
-    # post_after delegate to the overrides above.
+    # call_after/post_after delegate to the overrides above.
 
     # ------------------------------------------------------------------
     # Execution
@@ -108,10 +104,9 @@ class BatchSimulator(Simulator):
     def _flush_ring(self) -> None:
         """Spill ring entries back into the heap (original seqs).
 
-        Runs whenever a run loop returns, so outside :meth:`run`/
-        :meth:`run_until` the queue layout — and therefore ``step``,
-        ``next_event_time``, and checkpoint state — matches the
-        reference kernel exactly.  All ring times lie in
+        Runs whenever a run loop returns, so outside :meth:`run` the
+        queue layout — and therefore ``step`` and checkpoint state —
+        matches the reference kernel exactly.  All ring times lie in
         ``[now, now + 64)``; the slot index recovers the absolute time.
         """
         mask = self._ring_mask
@@ -134,8 +129,7 @@ class BatchSimulator(Simulator):
     def _next_ring_time(self) -> int | None:
         """Earliest time of a *live* ring entry strictly after ``now``.
 
-        Pops cancelled slot heads on the way (mirroring what
-        ``next_event_time`` does for the heap) so time never advances to
+        Pops cancelled slot heads on the way so time never advances to
         a cycle where nothing will execute.
         """
         while True:
@@ -167,7 +161,7 @@ class BatchSimulator(Simulator):
                 slot = ring[self.now & _MASK]
                 if slot:
                     if queue and queue[0][0] == self.now:
-                        # Rare: pre-run or front events share this cycle;
+                        # Rare: pre-run events share this cycle;
                         # interleave by seq exactly like the lane does.
                         if queue[0][1] < slot[0][0]:
                             _t, _s, callback, arg, event = pop(queue)
@@ -183,9 +177,9 @@ class BatchSimulator(Simulator):
                         # Batch drain: nothing in the heap is at ``now``
                         # and nothing can arrive there while we run.  The
                         # executed/live counters are settled once per
-                        # batch: nothing reads them mid-cycle (the shard
-                        # bound, checkpoints, and reports all run between
-                        # windows), and cancel()'s own decrement commutes.
+                        # batch: nothing reads them mid-cycle (checkpoints
+                        # and reports run between runs), and cancel()'s own
+                        # decrement commutes.
                         ran = 0
                         while slot:
                             # Bulk-copy the slot and dispatch with a for
@@ -248,115 +242,3 @@ class BatchSimulator(Simulator):
             if self._ring_mask:
                 self._flush_ring()
         return self.now
-
-    def run_until(self, limit: int) -> int:
-        limit = int(limit)
-        if limit < self.now:
-            raise SimulationError(
-                f"cannot run window to {limit}, now is {self.now}"
-            )
-        queue = self._queue
-        ring = self._ring
-        # The ring is empty between runs (flushed on every return), so
-        # the reference fast exit applies unchanged.
-        if not queue or queue[0][0] >= limit:
-            self.now = limit
-            return limit
-        pop = heapq.heappop
-        no_arg = _NO_ARG
-        self._running = True
-        try:
-            while True:
-                slot = ring[self.now & _MASK]
-                if slot:
-                    if queue and queue[0][0] == self.now:
-                        if queue[0][1] < slot[0][0]:
-                            _t, _s, callback, arg, event = pop(queue)
-                        else:
-                            _s, callback, arg, event = slot.popleft()
-                            if not slot:
-                                self._ring_mask &= ~(1 << (self.now & _MASK))
-                        if event is not None:
-                            if event.cancelled:
-                                continue
-                            event._done = True
-                    else:
-                        ran = 0
-                        while slot:
-                            # Bulk-copy the slot and dispatch with a for
-                            # loop: one C-level copy replaces a popleft
-                            # call per event.  Same-cycle appends land in
-                            # the (now empty) deque and drain next pass;
-                            # cancellation is still read at dispatch
-                            # time, exactly like the popleft form.
-                            it = iter(list(slot))
-                            slot.clear()
-                            try:
-                                for _s, callback, arg, event in it:
-                                    if event is not None:
-                                        if event.cancelled:
-                                            continue
-                                        event._done = True
-                                    ran += 1
-                                    if arg is no_arg:
-                                        callback()
-                                    else:
-                                        callback(arg)
-                            except BaseException:
-                                # Put the undispatched tail back so the
-                                # finally-flush preserves it, matching
-                                # what the popleft form leaves behind.
-                                slot.extendleft(reversed(list(it)))
-                                raise
-                        self.events_executed += ran
-                        self._live -= ran
-                        self._ring_mask &= ~(1 << (self.now & _MASK))
-                        continue
-                else:
-                    t_ring = self._next_ring_time()
-                    if queue and (t_ring is None or queue[0][0] <= t_ring):
-                        if queue[0][0] >= limit:
-                            break
-                        time, _s, callback, arg, event = pop(queue)
-                        if event is not None:
-                            if event.cancelled:
-                                continue
-                            event._done = True
-                        self.now = time
-                    elif t_ring is not None:
-                        if t_ring >= limit:
-                            break
-                        self.now = t_ring
-                        continue
-                    else:
-                        break
-                self.events_executed += 1
-                self._live -= 1
-                if arg is no_arg:
-                    callback()
-                else:
-                    callback(arg)
-        finally:
-            self._running = False
-            if self._ring_mask:
-                self._flush_ring()
-        self.now = limit
-        return self.now
-
-    def next_event_time(self) -> int | None:
-        # Outside a run the ring is always empty (flushed on return);
-        # guard anyway so callbacks that peek mid-run stay exact.
-        if self._ring_mask:
-            slot = self._ring[self.now & _MASK]
-            for entry in slot:
-                event = entry[3]
-                if event is None or not event.cancelled:
-                    return self.now  # heap times are never earlier
-            t_ring = self._next_ring_time()
-            heap_next = super().next_event_time()
-            if t_ring is None:
-                return heap_next
-            if heap_next is None:
-                return t_ring
-            return min(t_ring, heap_next)
-        return super().next_event_time()

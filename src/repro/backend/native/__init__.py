@@ -132,7 +132,7 @@ class NativeSimulator(BatchSimulator):
     (fastpath ring inlines, ``Event.cancel``, checkpoint digests,
     modelcheck queue clears) works unchanged here.  The ring slots are
     real Python lists shared with the core; the heap is the real
-    ``_queue`` list.  ``run``/``run_until``/``post``/``call_at``/...
+    ``_queue`` list.  ``run``/``post``/``call_at``/...
     are shadowed per-instance by the core's compiled methods.
     """
 
@@ -148,13 +148,10 @@ class NativeSimulator(BatchSimulator):
         self.post_after = core.post_after
         self.call_at = core.call_at
         self.call_after = core.call_after
-        self.post_front = core.post_front
         self.run = core.run
-        self.run_until = core.run_until
 
     now = _core_property("now")
     _seq = _core_property("seq")
-    _front_seq = _core_property("front_seq")
     _live = _core_property("live")
     events_executed = _core_property("executed")
     _ring_mask = _core_property("ring_mask")

@@ -281,7 +281,7 @@ heap_pop(PyObject *queue)
 
 typedef struct {
     PyObject_HEAD
-    long long now, seq, front_seq, live, executed;
+    long long now, seq, live, executed;
     unsigned long long ring_mask;
     int running;
     PyObject *queue;        /* list of heap tuples */
@@ -301,7 +301,6 @@ Core_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         return NULL;
     self->now = 0;
     self->seq = 0;
-    self->front_seq = -1;
     self->live = 0;
     self->executed = 0;
     self->ring_mask = 0;
@@ -624,55 +623,6 @@ Core_call_after(CoreObject *self, PyObject *const *args, Py_ssize_t nargs,
     return core_call_at_impl(self, self->now + delay, cb, arg);
 }
 
-static PyObject *
-Core_post_front(CoreObject *self, PyObject *const *args, Py_ssize_t nargs,
-                PyObject *kwnames)
-{
-    PyObject *time_obj, *cb, *arg, *entry, *seq_obj, *t_obj;
-    long long time, seq;
-    if (parse_time_cb_arg(args, nargs, kwnames, &time_obj, &cb, &arg) < 0)
-        return NULL;
-    time = PyLong_AsLongLong(time_obj);
-    if (time == -1 && PyErr_Occurred())
-        return NULL;
-    if (time < self->now || (time == self->now && self->running)) {
-        PyErr_Format(g_sim_error,
-                     "cannot front-schedule event at %lld, now is %lld",
-                     time, self->now);
-        return NULL;
-    }
-    seq = self->front_seq;
-    self->front_seq = seq - 1;
-    seq_obj = PyLong_FromLongLong(seq);
-    t_obj = PyLong_FromLongLong(time);
-    if (seq_obj == NULL || t_obj == NULL) {
-        Py_XDECREF(seq_obj);
-        Py_XDECREF(t_obj);
-        return NULL;
-    }
-    entry = PyTuple_New(5);
-    if (entry == NULL) {
-        Py_DECREF(seq_obj);
-        Py_DECREF(t_obj);
-        return NULL;
-    }
-    PyTuple_SET_ITEM(entry, 0, t_obj);
-    PyTuple_SET_ITEM(entry, 1, seq_obj);
-    Py_INCREF(cb);
-    PyTuple_SET_ITEM(entry, 2, cb);
-    Py_INCREF(arg);
-    PyTuple_SET_ITEM(entry, 3, arg);
-    Py_INCREF(Py_None);
-    PyTuple_SET_ITEM(entry, 4, Py_None);
-    if (heap_push(self->queue, entry) < 0) {
-        Py_DECREF(entry);
-        return NULL;
-    }
-    Py_DECREF(entry);
-    self->live += 1;
-    Py_RETURN_NONE;
-}
-
 /* -- execution ------------------------------------------------------ */
 
 static inline int
@@ -774,17 +724,13 @@ invoke(PyObject *cb, PyObject *arg)
     return 0;
 }
 
-/* The run loop shared by run() and run_until().
- *
- * until_mode=1 replicates BatchSimulator.run_until (strict limit,
- * break at >= limit); until_mode=0 replicates run() (has_limit
+/* The run loop of run(): replicates BatchSimulator.run (has_limit
  * optional, events AT the limit still execute, now clamps to limit).
  * Counter settle points, exception tail restoration, and the
  * finally-flush mirror the Python code exactly.
  */
 static int
-core_run_loop(CoreObject *core, int until_mode, int has_limit,
-              long long limit)
+core_run_loop(CoreObject *core, int has_limit, long long limit)
 {
     PyObject *queue = core->queue;
     core->running = 1;
@@ -794,7 +740,7 @@ core_run_loop(CoreObject *core, int until_mode, int has_limit,
         if (PyList_GET_SIZE(slot)) {
             Py_ssize_t qn = PyList_GET_SIZE(queue);
             if (qn && tuple_ll(PyList_GET_ITEM(queue, 0), 0) == core->now) {
-                /* Rare: pre-run or front events share this cycle. */
+                /* Rare: pre-run events share this cycle. */
                 if (tuple_ll(PyList_GET_ITEM(queue, 0), 1) <
                     tuple_ll(PyList_GET_ITEM(slot, 0), 0)) {
                     entry = heap_pop(queue);
@@ -891,11 +837,7 @@ core_run_loop(CoreObject *core, int until_mode, int has_limit,
                        tuple_ll(PyList_GET_ITEM(queue, 0), 0) <= t_ring)) {
                 long long head_t =
                     tuple_ll(PyList_GET_ITEM(queue, 0), 0);
-                if (until_mode) {
-                    if (head_t >= limit)
-                        break;
-                }
-                else if (has_limit && head_t > limit) {
+                if (has_limit && head_t > limit) {
                     core->now = limit;
                     break;
                 }
@@ -923,11 +865,7 @@ core_run_loop(CoreObject *core, int until_mode, int has_limit,
                 continue;
             }
             else if (has_ring) {
-                if (until_mode) {
-                    if (t_ring >= limit)
-                        break;
-                }
-                else if (has_limit && t_ring > limit) {
+                if (has_limit && t_ring > limit) {
                     core->now = limit;
                     break;
                 }
@@ -996,34 +934,9 @@ Core_run(CoreObject *self, PyObject *const *args, Py_ssize_t nargs,
             return NULL;
         has_limit = 1;
     }
-    if (core_run_loop(self, 0, has_limit, limit) < 0)
+    if (core_run_loop(self, has_limit, limit) < 0)
         return NULL;
     return PyLong_FromLongLong(self->now);
-}
-
-static PyObject *
-Core_run_until(CoreObject *self, PyObject *limit_obj)
-{
-    long long limit = PyLong_AsLongLong(limit_obj);
-    Py_ssize_t qn;
-    if (limit == -1 && PyErr_Occurred())
-        return NULL;
-    if (limit < self->now) {
-        PyErr_Format(g_sim_error,
-                     "cannot run window to %lld, now is %lld",
-                     limit, self->now);
-        return NULL;
-    }
-    qn = PyList_GET_SIZE(self->queue);
-    if (!qn ||
-        tuple_ll(PyList_GET_ITEM(self->queue, 0), 0) >= limit) {
-        self->now = limit;
-        return PyLong_FromLongLong(limit);
-    }
-    if (core_run_loop(self, 1, 1, limit) < 0)
-        return NULL;
-    self->now = limit;
-    return PyLong_FromLongLong(limit);
 }
 
 static PyObject *
@@ -1056,11 +969,8 @@ static PyMethodDef Core_methods[] = {
      METH_FASTCALL | METH_KEYWORDS, NULL},
     {"call_after", (PyCFunction)(void (*)(void))Core_call_after,
      METH_FASTCALL | METH_KEYWORDS, NULL},
-    {"post_front", (PyCFunction)(void (*)(void))Core_post_front,
-     METH_FASTCALL | METH_KEYWORDS, NULL},
     {"run", (PyCFunction)(void (*)(void))Core_run,
      METH_FASTCALL | METH_KEYWORDS, NULL},
-    {"run_until", (PyCFunction)Core_run_until, METH_O, NULL},
     {"flush_ring", (PyCFunction)Core_flush_ring_py, METH_NOARGS, NULL},
     {"next_ring_time", (PyCFunction)Core_next_ring_time_py, METH_NOARGS,
      NULL},
@@ -1084,7 +994,6 @@ static PyMethodDef Core_methods[] = {
 
 CORE_LL_GETSET(now)
 CORE_LL_GETSET(seq)
-CORE_LL_GETSET(front_seq)
 CORE_LL_GETSET(live)
 CORE_LL_GETSET(executed)
 
@@ -1137,8 +1046,6 @@ Core_get_ring(CoreObject *s, void *c)
 static PyGetSetDef Core_getsets[] = {
     {"now", (getter)Core_get_now, (setter)Core_set_now, NULL, NULL},
     {"seq", (getter)Core_get_seq, (setter)Core_set_seq, NULL, NULL},
-    {"front_seq", (getter)Core_get_front_seq, (setter)Core_set_front_seq,
-     NULL, NULL},
     {"live", (getter)Core_get_live, (setter)Core_set_live, NULL, NULL},
     {"executed", (getter)Core_get_executed, (setter)Core_set_executed, NULL,
      NULL},

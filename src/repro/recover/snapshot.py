@@ -32,7 +32,7 @@ SNAPSHOT_VERSION = 1
 
 
 def _machine_state(machine: "AlewifeMachine") -> dict:
-    """The digestible state of one machine (or one shard's partition)."""
+    """The digestible state of one machine."""
     sim = machine.sim
     counters = {
         node.node_id: node.counters.as_dict() for node in machine.nodes
@@ -57,7 +57,6 @@ def _machine_state(machine: "AlewifeMachine") -> dict:
         rng.update(name.encode())
         rng.update(repr(machine.rng._streams[name].getstate()).encode())
     return {
-        "shard": machine.shard_id,
         "sim": [
             sim.now,
             sim._seq,
@@ -73,15 +72,9 @@ def _machine_state(machine: "AlewifeMachine") -> dict:
     }
 
 
-def state_digest(machines: list) -> str:
-    """SHA-256 over the canonical state of one machine or all shards.
-
-    The machines must sit at a globally consistent instant (the serial
-    driver between events, the sharded driver at a post-absorb window
-    boundary); shard partition does not affect the digest inputs other
-    than through ``shard`` ordering, which is deterministic.
-    """
-    payload = [_machine_state(m) for m in machines]
+def state_digest(machine: "AlewifeMachine") -> str:
+    """SHA-256 over the canonical state of a machine between events."""
+    payload = _machine_state(machine)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -96,8 +89,7 @@ class Snapshot:
     digest: str
     fingerprint: str
     version: int = SNAPSHOT_VERSION
-    #: "serial" or "shards" — which driver geometry took the snapshot
-    #: (their window boundaries differ, so markers are not interchangeable)
+    #: the driver that took the snapshot; resume accepts only "serial"
     driver: str = "serial"
     meta: dict = field(default_factory=dict)
 
@@ -144,11 +136,10 @@ def list_snapshots(directory: Path | str) -> list[Path]:
 def make_snapshot(
     config: Any,
     workload: dict,
-    machines: list,
+    machine: "AlewifeMachine",
     cycle: int,
     *,
     fingerprint: str,
-    driver: str,
 ) -> Snapshot:
     from dataclasses import asdict as config_asdict
 
@@ -156,8 +147,6 @@ def make_snapshot(
         config=config_asdict(config),
         workload=workload,
         cycle=cycle,
-        digest=state_digest(machines),
+        digest=state_digest(machine),
         fingerprint=fingerprint,
-        driver=driver,
-        meta={"shards": len(machines)},
     )

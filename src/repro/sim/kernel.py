@@ -88,8 +88,6 @@ class Simulator:
     def __init__(self, *, max_cycles: int | None = None) -> None:
         self._queue: list[tuple] = []
         self._seq = 0
-        #: descending negative sequence counter for :meth:`post_front`
-        self._front_seq = -1
         self._live = 0
         #: same-cycle fast lane: events scheduled *for* the current cycle
         #: *during* the current cycle skip the heap entirely.  Entries are
@@ -158,28 +156,6 @@ class Simulator:
             self._lane.append((seq, callback, arg, None))
         else:
             _heappush(self._queue, (time, seq, callback, arg, None))
-        self._live += 1
-
-    def post_front(
-        self, time: int, callback: Callable[..., None], arg: Any = _NO_ARG
-    ) -> None:
-        """Schedule ahead of every normally-scheduled event at ``time``.
-
-        Front events at one cycle execute before all ``call_at``/``post``
-        events of that cycle, in an unspecified order among themselves —
-        callers must only front-schedule work whose instances commute.
-        The sharded fabric uses this for its link/inbox drains so that a
-        cycle's cross-shard deliveries land in canonical order regardless
-        of how event sequence numbers interleave on each shard.
-        """
-        time = int(time)
-        if time < self.now or (time == self.now and self._running):
-            raise SimulationError(
-                f"cannot front-schedule event at {time}, now is {self.now}"
-            )
-        seq = self._front_seq
-        self._front_seq = seq - 1
-        _heappush(self._queue, (time, seq, callback, arg, None))
         self._live += 1
 
     def post_after(
@@ -315,86 +291,6 @@ class Simulator:
             if lane:
                 self._flush_lane()
         return self.now
-
-    def run_until(self, limit: int) -> int:
-        """Execute every event strictly before ``limit``; leave now=limit.
-
-        The window primitive of the sharded driver: after it returns, the
-        queue holds only events at ``limit`` or later and externally
-        injected work (cross-shard handoffs) may be posted at any time
-        >= ``limit``.  Unlike :meth:`run`, events at exactly ``limit`` do
-        *not* execute — a window owns the half-open interval [now, limit).
-        """
-        limit = int(limit)
-        if limit < self.now:
-            raise SimulationError(
-                f"cannot run window to {limit}, now is {self.now}"
-            )
-        queue = self._queue
-        lane = self._lane
-        if not lane and (not queue or queue[0][0] >= limit):
-            # Empty window: nothing strictly before limit (a cancelled
-            # head still lower-bounds the live events under it).  Shards
-            # idling through wide adaptive windows take this exit.
-            self.now = limit
-            return limit
-        pop = heapq.heappop
-        no_arg = _NO_ARG
-        self._running = True
-        try:
-            while True:
-                if lane:
-                    if (
-                        queue
-                        and queue[0][0] == self.now
-                        and queue[0][1] < lane[0][0]
-                    ):
-                        _time, _seq, callback, arg, event = pop(queue)
-                    else:
-                        _seq, callback, arg, event = lane.popleft()
-                    if event is not None:
-                        if event.cancelled:
-                            continue
-                        event._done = True
-                elif queue:
-                    if queue[0][0] >= limit:
-                        break
-                    time, _seq, callback, arg, event = pop(queue)
-                    if event is not None:
-                        if event.cancelled:
-                            continue
-                        event._done = True
-                    self.now = time
-                else:
-                    break
-                self.events_executed += 1
-                self._live -= 1
-                if arg is no_arg:
-                    callback()
-                else:
-                    callback(arg)
-        finally:
-            self._running = False
-            if lane:
-                self._flush_lane()
-        self.now = limit
-        return self.now
-
-    def next_event_time(self) -> int | None:
-        """Time of the earliest live event, or None when drained.
-
-        Pops already-cancelled heap heads on the way (they would be
-        skipped at execution anyway), so the answer is exact.
-        """
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            event = head[4]
-            if event is not None and event.cancelled:
-                heapq.heappop(queue)
-                continue
-            return head[0]
-        return None
 
     @property
     def pending_events(self) -> int:

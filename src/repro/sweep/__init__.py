@@ -12,7 +12,6 @@ from .cache import (
     SourceFingerprint,
     compute_source_fingerprint,
     default_cache_dir,
-    source_fingerprint,
 )
 from .grids import figure_grids, run_figure_suite
 from .runner import JobResult, ProgressPrinter, ProgressTracker, run_jobs
@@ -33,5 +32,4 @@ __all__ = [
     "job_key",
     "run_figure_suite",
     "run_jobs",
-    "source_fingerprint",
 ]

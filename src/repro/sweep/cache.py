@@ -74,16 +74,6 @@ class SourceFingerprint:
         self._value = None
 
 
-def source_fingerprint() -> str:
-    """Backward-compatible wrapper: compute the fingerprint afresh.
-
-    Callers that key many lookups should hold a :class:`SourceFingerprint`
-    (or use ``ResultCache.fingerprint``) so the hash is memoized in an
-    object they control rather than process-global state.
-    """
-    return compute_source_fingerprint()
-
-
 class ResultCache:
     """Keyed MachineStats store with hit/miss accounting.
 

@@ -30,9 +30,7 @@ def machine_block_view(node, entry, cached_copies) -> BlockView:
     """Build the auditor's :class:`BlockView` for one directory entry.
 
     ``cached_copies`` maps node id -> ``(state, words)`` for every valid
-    copy of the entry's block, machine-wide.  The tuple form (rather than
-    live cache-line objects) is deliberate: a sharded audit exchanges
-    exactly these holdings between workers.  Nothing is in flight at audit
+    copy of the entry's block, machine-wide.  Nothing is in flight at audit
     time, so the in-flight invalidation set is empty and ``awaited`` is
     whatever the (necessarily broken, if nonempty) entry still records.
     """
@@ -62,11 +60,7 @@ def machine_block_view(node, entry, cached_copies) -> BlockView:
 
 
 def cache_holdings(nodes) -> dict[int, dict[int, tuple]]:
-    """Map block -> {node: (state, words)} for every valid cached copy.
-
-    Picklable, so a shard worker can ship its slice to the parent, which
-    unions the slices into the machine-wide map every shard audits against.
-    """
+    """Map block -> {node: (state, words)} for every valid cached copy."""
     cached: dict[int, dict[int, tuple]] = {}
     for node in nodes:
         for line in node.cache_array.valid_lines():
@@ -77,49 +71,29 @@ def cache_holdings(nodes) -> dict[int, dict[int, tuple]]:
     return cached
 
 
-def local_quiesce_problems(nodes, network) -> list[str]:
-    """Shard-local quiescence checks (in-flight, MSHRs, IPI queues)."""
+def audit_machine(machine) -> int:
+    """Audit a finished machine; returns the number of entries checked."""
     problems: list[str] = []
+    network = machine.network
     if network.in_flight:
         problems.append(f"{network.in_flight} packets still in flight")
-    for node in nodes:
+    for node in machine.nodes:
         if not node.cache_controller.idle():
             problems.append(f"node {node.node_id}: open MSHRs at quiescence")
         if node.nic.ipi_pending():
             problems.append(f"node {node.node_id}: IPI queue not drained")
-    return problems
-
-
-def audit_entries(nodes, cached) -> tuple[int, list[str]]:
-    """Audit the directory entries homed on ``nodes`` against the
-    machine-wide ``cached`` holdings map; returns (entries checked,
-    problems found)."""
-    problems: list[str] = []
+    cached = cache_holdings(machine.nodes)
     checked = 0
-    for node in nodes:
+    for node in machine.nodes:
         for entry in node.directory_controller.directory.entries():
             checked += 1
             view = machine_block_view(node, entry, cached.get(entry.block, {}))
             problems += quiescent_problems(view)
             problems += state_problems(view)
-    return checked, problems
-
-
-def raise_on_problems(problems: list[str]) -> None:
-    """Raise :class:`CoherenceViolation` summarizing a nonempty list."""
-    if not problems:
-        return
-    summary = "\n  ".join(problems[:20])
-    more = f"\n  (+{len(problems) - 20} more)" if len(problems) > 20 else ""
-    raise CoherenceViolation(
-        f"{len(problems)} coherence violations:\n  {summary}{more}"
-    )
-
-
-def audit_machine(machine) -> int:
-    """Audit a finished machine; returns the number of entries checked."""
-    problems = local_quiesce_problems(machine.nodes, machine.network)
-    cached = cache_holdings(machine.nodes)
-    checked, entry_problems = audit_entries(machine.nodes, cached)
-    raise_on_problems(problems + entry_problems)
+    if problems:
+        summary = "\n  ".join(problems[:20])
+        more = f"\n  (+{len(problems) - 20} more)" if len(problems) > 20 else ""
+        raise CoherenceViolation(
+            f"{len(problems)} coherence violations:\n  {summary}{more}"
+        )
     return checked

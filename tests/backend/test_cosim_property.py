@@ -5,12 +5,12 @@ Two layers of lockstep comparison, both driven by hypothesis:
 * **Kernel level** — random self-rescheduling event schedules run through
   :class:`~repro.sim.kernel.Simulator` and
   :class:`~repro.backend.batchsim.BatchSimulator` under identical
-  ``run_until`` windows.  The firing log (cycle, event identity) and the
-  per-window kernel observables ``(now, _seq, events_executed,
+  ``run(until=...)`` windows.  The firing log (cycle, event identity) and
+  the per-window kernel observables ``(now, _seq, events_executed,
   pending_events)`` must match exactly: the 64-slot ring and the batched
   counter updates are pure reorderings of *work*, never of *results*,
-  and the window boundaries are exactly where the shard driver and the
-  checkpointer read those observables.
+  and the window boundaries are exactly where the checkpointer reads
+  those observables.
 * **Machine level** — random small weather configurations run end to end
   on both backends under a windowed driver; the per-window observables
   and the final equivalence fingerprint must match.  This sweeps the
@@ -67,7 +67,7 @@ def _run_kernel(sim_class, schedule, window):
     while sim.pending_events:
         guard += 1
         assert guard < 10_000
-        sim.run_until(sim.now + window)
+        sim.run(until=sim.now + window)
         trace.append(
             (sim.now, sim._seq, sim.events_executed, sim.pending_events)
         )
@@ -137,7 +137,7 @@ def _trace_machine(backend, params):
         while sim.pending_events:
             guard += 1
             assert guard < 100_000
-            sim.run_until(sim.now + window)
+            sim.run(until=sim.now + window)
             trace.append(
                 (sim.now, sim._seq, sim.events_executed, sim.pending_events)
             )

@@ -120,6 +120,12 @@ class TestSubmission:
         assert status == 400
         assert "unknown workload" in body["error"]["message"]
 
+    def test_removed_config_key_400(self, server):
+        status, body = request(server, "POST", "/jobs", job_payload(shards=2))
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+        assert "shards" in body["error"]["message"]
+
     def test_over_budget_413(self, server):
         status, body = request(
             server,

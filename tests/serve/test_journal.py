@@ -100,6 +100,21 @@ class TestRecovery:
         assert int(new.id.rsplit("-", 1)[1]) > 7
         service.close(drain=True)
 
+    def test_journaled_job_with_removed_config_key_is_skipped(
+        self, cache, journal_path, small_stats
+    ):
+        journal = JobJournal(journal_path)
+        journal.record_submit("job-000003", job_payload(shards=2))
+        journal.record_submit("job-000004", job_payload())
+        journal.close()
+
+        service = _service(cache, journal_path, small_stats)
+        summary = service.recover()
+        assert summary == {"jobs": 1, "restored": 0, "resubmitted": 1}
+        assert service.job("job-000003") is None
+        assert service.job("job-000004").wait(30)
+        service.close(drain=True)
+
     def test_resubmitted_job_hits_cache(self, cache, journal_path, small_stats):
         first = _service(cache, journal_path, small_stats)
         record = first.submit(JobRequest.from_payload(job_payload()))

@@ -354,58 +354,3 @@ class TestSameCycleFastLane:
         # its original position.
         sim.run()
         assert log == ["after"]
-
-
-class TestPostFront:
-    def test_front_events_run_before_normal_events(self, sim):
-        log = []
-        sim.call_at(10, lambda: log.append("normal"))
-        sim.post_front(10, lambda: log.append("front"))
-        sim.run()
-        assert log == ["front", "normal"]
-
-    def test_front_scheduling_now_while_running_raises(self, sim):
-        def root():
-            sim.post_front(sim.now, lambda: None)
-
-        sim.call_at(5, root)
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_front_scheduling_in_the_past_raises(self, sim):
-        sim.call_at(10, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.post_front(5, lambda: None)
-
-
-class TestRunUntilWindow:
-    def test_executes_strictly_before_limit(self, sim):
-        log = []
-        sim.call_at(5, lambda: log.append(5))
-        sim.call_at(10, lambda: log.append(10))
-        sim.call_at(15, lambda: log.append(15))
-        sim.run_until(10)
-        assert log == [5]
-        assert sim.now == 10
-        sim.run_until(11)
-        assert log == [5, 10]
-        sim.run()
-        assert log == [5, 10, 15]
-
-    def test_advances_now_with_no_events(self, sim):
-        sim.run_until(100)
-        assert sim.now == 100
-
-    def test_window_below_now_raises(self, sim):
-        sim.run_until(50)
-        with pytest.raises(SimulationError):
-            sim.run_until(49)
-
-    def test_next_event_time_skips_cancelled(self, sim):
-        dead = sim.call_at(5, lambda: None)
-        sim.call_at(9, lambda: None)
-        dead.cancel()
-        assert sim.next_event_time() == 9
-        sim.run()
-        assert sim.next_event_time() is None

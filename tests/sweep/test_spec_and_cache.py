@@ -10,8 +10,8 @@ from repro.sweep import (
     ResultCache,
     SourceFingerprint,
     WorkloadSpec,
+    compute_source_fingerprint,
     job_key,
-    source_fingerprint,
 )
 from repro.workloads import Workload
 
@@ -59,8 +59,8 @@ class TestJobKey:
         assert job_key(config, spec, "other-source") != base
 
     def test_source_fingerprint_is_stable_hex(self):
-        fp = source_fingerprint()
-        assert fp == source_fingerprint()
+        fp = compute_source_fingerprint()
+        assert fp == compute_source_fingerprint()
         assert len(fp) == 64
         int(fp, 16)
 
